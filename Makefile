@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet bench-host smp-determinism fleet-determinism fleet-trace-determinism parallel-check mc-smoke mc-determinism clean
+.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet bench-host smp-determinism fleet-determinism fleet-trace-determinism parallel-check mc-smoke mc-determinism loc clean
 
 all: vet test
 
@@ -88,10 +88,10 @@ bench-smp:
 bench-fleet:
 	$(GO) run ./cmd/veil-bench -experiment fleet -json BENCH_fleet.json
 
-# The fleet determinism gate: the multi-machine stepper runs one goroutine
-# per CVM, so the claim under test is that host parallelism cannot leak
-# into results — different GOMAXPROCS, byte-identical JSON (including the
-# merged-trace digest), and -compare agrees the gated values match.
+# The fleet determinism gate: one goroutine steps every CVM, and the claim
+# under test is that host parallelism cannot leak into results — different
+# GOMAXPROCS, byte-identical JSON (including the merged-trace digest), and
+# -compare agrees the gated values match.
 fleet-determinism:
 	GOMAXPROCS=1 $(GO) run ./cmd/veil-bench -experiment fleet -json /tmp/veil-fleet-a.json
 	$(GO) run ./cmd/veil-bench -experiment fleet -json /tmp/veil-fleet-b.json
@@ -167,6 +167,13 @@ examples:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Go line counts, production and _test.go, outside perfbench/ (which is a
+# module of its own). Every change reports its net production-line delta.
+GO_FILES = find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*.go' -print
+loc:
+	@$(GO_FILES) | grep -v '_test\.go$$' | xargs cat | wc -l | awk '{print "production", $$1}'
+	@$(GO_FILES) | grep '_test\.go$$' | xargs cat | wc -l | awk '{print "test", $$1}'
 
 clean:
 	$(GO) clean ./...

@@ -3,14 +3,10 @@ package cvm
 // Fleet assembly: N Veil CVMs booted against one shared PSP identity,
 // connected by a simulated fabric, and driven in virtual-time lockstep.
 //
-// Each machine is its own deterministic clock domain, confined to its own
-// goroutine: after boot, only that goroutine touches the machine's state,
-// and the stepper talks to it over an unbuffered command channel. Exactly
-// one machine runs at any instant — the channel rendezvous serializes the
-// fleet — so a run is byte-deterministic for a given seed regardless of
-// GOMAXPROCS or host scheduling, and the race detector can certify the
-// confinement (every cross-domain byte passes through a channel's
-// happens-before edge).
+// One goroutine drives the whole fleet: the stepper calls each machine
+// directly, so exactly one machine runs at any instant and a run is
+// byte-deterministic for a given seed regardless of GOMAXPROCS or host
+// scheduling.
 //
 // The rendezvous rule is classic conservative discrete-event simulation:
 // every machine exposes a "next event" virtual time — its own clock while
@@ -190,95 +186,29 @@ type FleetStats struct {
 // allows millions).
 const fleetMaxSteps = 1 << 24
 
-// Commands the stepper sends into a machine's goroutine.
-type fleetCmdKind int
-
-const (
-	cmdStep fleetCmdKind = iota
-	cmdDeliver
-	cmdStop
-)
-
-type fleetCmd struct {
-	kind fleetCmdKind
-	// cmdDeliver: frames to push, and the arrival time to advance the
-	// machine's clock to first (0 = no advance).
-	frames  [][]byte
-	advance uint64
-}
-
-type fleetRes struct {
-	status sched.StepResult
-	clock  uint64
-	idle   uint64
-	err    error
-}
-
-// machine phases tracked by the stepper (its view; the machine goroutine
-// holds no phase state).
+// machine phases tracked by the stepper.
 type fleetPhase int
 
 const (
 	phaseRunnable fleetPhase = iota
 	phaseWaiting             // StepAllBlocked: only a fabric delivery can help
 	phaseDone
-	phaseFailed
 )
 
 type fleetDomain struct {
 	id    int
 	c     *CVM
 	sch   *sched.Scheduler
-	cmd   chan fleetCmd
-	res   chan fleetRes
 	phase fleetPhase
+	// clock is the stepper's view of the machine's clock: zero when Run
+	// starts, refreshed after each of this machine's steps.
 	clock uint64
-	idle  uint64
-}
-
-// loop is the machine goroutine: the only code that touches this machine
-// after Run starts. It executes one command per rendezvous and reports the
-// clock back, giving the stepper a consistent snapshot without sharing.
-func (d *fleetDomain) loop() {
-	for cmd := range d.cmd {
-		var r fleetRes
-		switch cmd.kind {
-		case cmdStep:
-			r.status, r.err = d.sch.Step()
-		case cmdDeliver:
-			d.c.M.Clock().AdvanceTo(cmd.advance, snp.CostIdle)
-			for _, fr := range cmd.frames {
-				d.c.PushNetFrame(fr)
-			}
-			// One completion interrupt per delivery batch (NIC coalescing):
-			// the Dom-UNT handler runs, the scheduler's Wake unblocks the
-			// receive path.
-			r.err = d.c.HV.InjectInterrupt(0)
-		case cmdStop:
-			r.clock = d.c.M.Clock().Cycles()
-			r.idle = d.c.M.Clock().Attribution()[snp.CostIdle]
-			d.res <- r
-			return
-		}
-		r.clock = d.c.M.Clock().Cycles()
-		r.idle = d.c.M.Clock().Attribution()[snp.CostIdle]
-		d.res <- r
-	}
-}
-
-func (d *fleetDomain) exec(cmd fleetCmd) fleetRes {
-	d.cmd <- cmd
-	r := <-d.res
-	d.clock = r.clock
-	d.idle = r.idle
-	return r
 }
 
 // Run drives every machine to completion in virtual-time lockstep. scheds
 // holds one scheduler per machine (built over that machine's snp.Machine,
 // tasks already added); Run wires each machine's interrupt path to its
-// scheduler's Wake, spawns the confined goroutines, and steps the fleet
-// until all schedulers report done.
+// scheduler's Wake and steps the fleet until all schedulers report done.
 func (f *Fleet) Run(scheds []*sched.Scheduler) (FleetStats, error) {
 	if len(scheds) != len(f.CVMs) {
 		return FleetStats{}, fmt.Errorf("cvm: %d schedulers for %d machines", len(scheds), len(f.CVMs))
@@ -287,24 +217,13 @@ func (f *Fleet) Run(scheds []*sched.Scheduler) (FleetStats, error) {
 	for i, c := range f.CVMs {
 		sch := scheds[i]
 		c.OnInterrupt(func(vcpu int) { sch.Wake(vcpu) })
-		domains[i] = &fleetDomain{
-			id: i, c: c, sch: sch,
-			cmd: make(chan fleetCmd),
-			res: make(chan fleetRes),
-		}
-		go domains[i].loop()
+		domains[i] = &fleetDomain{id: i, c: c, sch: sch}
 	}
 	stats, err := f.step(domains)
-	// Always stop the goroutines, success or not; cmdStop snapshots the
-	// final clocks.
 	for _, d := range domains {
-		r := d.exec(fleetCmd{kind: cmdStop})
-		close(d.cmd)
-		d.clock, d.idle = r.clock, r.idle
-	}
-	for _, d := range domains {
+		clock := d.c.M.Clock()
 		stats.Machines = append(stats.Machines, MachineStats{
-			ID: d.id, Cycles: d.clock, IdleCycles: d.idle, Sched: d.sch.Stats(),
+			ID: d.id, Cycles: clock.Cycles(), IdleCycles: clock.CyclesOf(snp.CostIdle), Sched: d.sch.Stats(),
 		})
 	}
 	stats.Fabric = f.Fab.Stats()
@@ -316,6 +235,12 @@ func (f *Fleet) Run(scheds []*sched.Scheduler) (FleetStats, error) {
 //   - waiting machines advertise their earliest fabric arrival (nothing
 //     pending → no event: they are unreachable until someone sends);
 //   - the lowest (event time, id) pair goes next.
+//
+// "Their own clock" is the stepper's view (fleetDomain.clock), which is
+// zero for every machine when Run starts and is refreshed only after that
+// machine's own step (a delivery is always followed by one). The first
+// picks of a second Run on the same fleet therefore go in id order,
+// whatever the real clocks say.
 func (f *Fleet) step(domains []*fleetDomain) (FleetStats, error) {
 	var st FleetStats
 	for ; st.Steps < fleetMaxSteps; st.Steps++ {
@@ -351,22 +276,23 @@ func (f *Fleet) step(domains []*fleetDomain) (FleetStats, error) {
 			}
 			return st, fmt.Errorf("%w (%d machines waiting)", ErrFleetStalled, countPhase(domains, phaseWaiting))
 		}
+		clock := pick.c.M.Clock()
 
 		// Take delivery of everything due at the event time. A waiting
 		// machine jumps its clock to the arrival first (CostIdle).
 		if due := f.Fab.Due(pick.id, pickAt); len(due) > 0 {
-			frames := make([][]byte, len(due))
-			for i, m := range due {
-				frames[i] = m.Payload
-			}
-			advance := uint64(0)
 			if pick.phase == phaseWaiting {
-				advance = pickAt
+				clock.AdvanceTo(pickAt, snp.CostIdle)
 				st.IdleJumps++
 			}
-			if r := pick.exec(fleetCmd{kind: cmdDeliver, frames: frames, advance: advance}); r.err != nil {
-				pick.phase = phaseFailed
-				return st, fmt.Errorf("cvm: fleet machine %d delivery: %w", pick.id, r.err)
+			for _, m := range due {
+				pick.c.PushNetFrame(m.Payload)
+			}
+			// One completion interrupt per delivery batch (NIC coalescing):
+			// the Dom-UNT handler runs, the scheduler's Wake unblocks the
+			// receive path.
+			if err := pick.c.HV.InjectInterrupt(0); err != nil {
+				return st, fmt.Errorf("cvm: fleet machine %d delivery: %w", pick.id, err)
 			}
 			pick.phase = phaseRunnable
 		} else if pick.phase == phaseWaiting {
@@ -376,12 +302,12 @@ func (f *Fleet) step(domains []*fleetDomain) (FleetStats, error) {
 			continue
 		}
 
-		r := pick.exec(fleetCmd{kind: cmdStep})
-		if r.err != nil {
-			pick.phase = phaseFailed
-			return st, fmt.Errorf("cvm: fleet machine %d: %w", pick.id, r.err)
+		status, err := pick.sch.Step()
+		pick.clock = clock.Cycles()
+		if err != nil {
+			return st, fmt.Errorf("cvm: fleet machine %d: %w", pick.id, err)
 		}
-		switch r.status {
+		switch status {
 		case sched.StepDone:
 			pick.phase = phaseDone
 		case sched.StepAllBlocked:

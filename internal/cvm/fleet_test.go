@@ -1,14 +1,17 @@
 package cvm
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"veil/internal/core"
 	"veil/internal/fabric"
 	"veil/internal/sched"
 	"veil/internal/services/chn"
+	"veil/internal/snp"
 )
 
 func testFleetOptions(machines int, seed int64) FleetOptions {
@@ -121,29 +124,41 @@ func runPingPong(t *testing.T, seed int64, rounds int) (*Fleet, *chnPeer, *chnPe
 	if err != nil {
 		t.Fatalf("BootFleet: %v", err)
 	}
+	a, b, stats := pingPongOn(t, f, seed, rounds, 0)
+	return f, a, b, stats
+}
+
+// pingPongOn runs one dial/establish/echo exchange between machines 0 and 1
+// of an already-booted fleet, with fresh schedulers and peers. Machine init
+// dials; it returns the initiator's peer, then the responder's.
+func pingPongOn(t *testing.T, f *Fleet, seed int64, rounds, init int) (*chnPeer, *chnPeer, FleetStats) {
+	t.Helper()
+	resp := 1 - init
 	a := &chnPeer{
-		c: f.CVMs[0], stub: f.CVMs[0].Stub,
-		initiator: true, self: 0, peer: 1, init: 0, rounds: rounds,
+		c: f.CVMs[init], stub: f.CVMs[init].Stub,
+		initiator: true, self: init, peer: resp, init: init, rounds: rounds,
 	}
+	// The initiator's next dial takes its next session id.
 	b := &chnPeer{
-		c: f.CVMs[1], stub: f.CVMs[1].Stub,
-		self: 1, peer: 0, init: 0, rounds: rounds,
+		c: f.CVMs[resp], stub: f.CVMs[resp].Stub,
+		self: resp, peer: init, init: init, rounds: rounds,
+		sid: uint32(f.CVMs[init].CHN.Stats().Dialed),
 	}
 	scheds := []*sched.Scheduler{
 		sched.New(sched.Config{Machine: f.CVMs[0].M, VCPUs: 1, Seed: seed}),
 		sched.New(sched.Config{Machine: f.CVMs[1].M, VCPUs: 1, Seed: seed + 1}),
 	}
-	if err := scheds[0].Add(0, 1, a); err != nil {
+	if err := scheds[init].Add(0, 1, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := scheds[1].Add(0, 1, b); err != nil {
+	if err := scheds[resp].Add(0, 1, b); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := f.Run(scheds)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	return f, a, b, stats
+	return a, b, stats
 }
 
 func TestFleetAttestedChannelPingPong(t *testing.T) {
@@ -258,14 +273,100 @@ func TestFleetStallDetected(t *testing.T) {
 		sched.New(sched.Config{Machine: f.CVMs[0].M, VCPUs: 1, Seed: 1}),
 		sched.New(sched.Config{Machine: f.CVMs[1].M, VCPUs: 1, Seed: 2}),
 	}
-	for i, s := range scheds {
+	for _, s := range scheds {
 		if err := s.Add(0, 1, blocker); err != nil {
 			t.Fatal(err)
 		}
-		_ = i
 	}
-	_, err = f.Run(scheds)
-	if err == nil {
-		t.Fatal("fleet of blocked machines did not stall out")
+	stats, err := f.Run(scheds)
+	if !errors.Is(err, ErrFleetStalled) {
+		t.Fatalf("fleet of blocked machines: err = %v, want ErrFleetStalled", err)
+	}
+	checkMachineStats(t, stats, 2)
+}
+
+// TestFleetMachineErrorStopsRun: a task error on one machine ends the run
+// with an error that wraps it and names the machine, and the stats still
+// cover every machine.
+func TestFleetMachineErrorStopsRun(t *testing.T) {
+	f, err := BootFleet(testFleetOptions(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("task failed")
+	// worker computes for 10k cycles per slice; it finishes after 50
+	// slices, or fails on slice failAt.
+	worker := func(c *CVM, failAt int) sched.Task {
+		n := 0
+		return sched.TaskFunc(func(vcpu int) (sched.Status, error) {
+			c.M.Clock().Charge(snp.CostCompute, 10_000)
+			if n++; n == failAt {
+				return sched.Done, boom
+			}
+			if n == 50 {
+				return sched.Done, nil
+			}
+			return sched.Yield, nil
+		})
+	}
+	scheds := []*sched.Scheduler{
+		sched.New(sched.Config{Machine: f.CVMs[0].M, VCPUs: 1, Seed: 1}),
+		sched.New(sched.Config{Machine: f.CVMs[1].M, VCPUs: 1, Seed: 2}),
+	}
+	if err := scheds[0].Add(0, 1, worker(f.CVMs[0], -1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := scheds[1].Add(0, 1, worker(f.CVMs[1], 5)); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := f.Run(scheds)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap the task error", err)
+	}
+	if !strings.Contains(err.Error(), "fleet machine 1") {
+		t.Fatalf("err = %q, want it to name fleet machine 1", err)
+	}
+	checkMachineStats(t, stats, 2)
+}
+
+// checkMachineStats asserts stats hold one entry per machine, in id order,
+// each with a clock that moved.
+func checkMachineStats(t *testing.T, stats FleetStats, machines int) {
+	t.Helper()
+	if len(stats.Machines) != machines {
+		t.Fatalf("stats cover %d machines, want %d", len(stats.Machines), machines)
+	}
+	for i, m := range stats.Machines {
+		if m.ID != i || m.Cycles == 0 {
+			t.Fatalf("stats.Machines[%d] = %+v, want ID %d with a nonzero clock", i, m, i)
+		}
+	}
+}
+
+// TestFleetRepeatedRunsPinned runs three exchanges on one fleet, the
+// initiator alternating between the machines, and pins what each Run
+// reports. The stepper's view of every clock starts at zero on each Run
+// and is refreshed only by that machine's own step, so the first picks of
+// a later Run go in machine-id order whatever the real clocks say; these
+// values were recorded with that rule and move if it changes.
+func TestFleetRepeatedRunsPinned(t *testing.T) {
+	f, err := BootFleet(testFleetOptions(2, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"steps=19 idle=3 fabric={Sent:9 Delivered:9 Dropped:0 Reordered:0 Injected:0} m0=48596589/47698 m1=48473809/39103",
+		"steps=18 idle=2 fabric={Sent:18 Delivered:18 Dropped:0 Reordered:0 Injected:0} m0=49000137/81155 m1=49123560/204578",
+		"steps=18 idle=2 fabric={Sent:27 Delivered:27 Dropped:0 Reordered:0 Injected:0} m0=49650153/246895 m1=49526786/237713",
+	}
+	for i, w := range want {
+		_, _, stats := pingPongOn(t, f, int64(40+i), 3, i%2)
+		got := fmt.Sprintf("steps=%d idle=%d fabric=%+v", stats.Steps, stats.IdleJumps, stats.Fabric)
+		for _, m := range stats.Machines {
+			got += fmt.Sprintf(" m%d=%d/%d", m.ID, m.Cycles, m.IdleCycles)
+		}
+		if got != w {
+			t.Errorf("run %d:\n got %s\nwant %s", i, got, w)
+		}
 	}
 }

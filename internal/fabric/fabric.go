@@ -8,11 +8,11 @@
 // Time is virtual: a frame sent at the sender's virtual cycle S over a link
 // with latency L becomes deliverable once the *receiver's* clock reaches
 // S+L. Nothing here touches the wall clock or spawns goroutines; the fleet
-// stepper (internal/cvm) owns the rendezvous, asking each destination for
-// its due frames as its clock domain advances. Per-link latency jitter,
-// drop and reorder decisions come from per-link seeded generators, so a
-// fleet run is byte-deterministic for a given seed regardless of host
-// scheduling.
+// stepper (internal/cvm) calls in from its single loop, asking each
+// destination for its due frames as that machine's clock advances.
+// Per-link latency jitter, drop and reorder decisions come from per-link
+// seeded generators, so a fleet run is byte-deterministic for a given seed
+// regardless of host scheduling.
 //
 // Frames carry opaque payloads. Confidentiality and integrity are not this
 // package's business: VeilS-Channel (internal/services/chn) seals every

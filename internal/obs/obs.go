@@ -36,7 +36,6 @@ package obs
 
 import (
 	"sort"
-	"sync/atomic"
 )
 
 // Class is the event taxonomy: one value per kind of architectural or
@@ -279,9 +278,8 @@ func (sh *shard) events(out []Event) []Event {
 	return append(out, sh.buf[:sh.next]...)
 }
 
-// Recorder is the sharded event ring plus its metrics registry. In the
-// default mode it is single-threaded like the machine it instruments; see
-// SetConcurrent for the multi-producer mode the race tests exercise.
+// Recorder is the sharded event ring plus its metrics registry. It is
+// single-threaded like the machine it instruments.
 //
 // A nil *Recorder is valid: Record, Charge and the accessors all no-op.
 type Recorder struct {
@@ -289,16 +287,9 @@ type Recorder struct {
 	shardCap int
 	seq      uint64 // last assigned record sequence number
 
-	// concurrent switches Record to atomic sequence allocation for
-	// multi-goroutine producers (one goroutine per VCPU). The per-shard
-	// state needs no synchronization either way: a shard has exactly one
-	// writer.
-	concurrent bool
-
 	// lastVCPU/lastShard cache the most recent shard lookup: the
 	// simulator steps one VCPU for many events at a time, so the common
-	// Record skips the slice indexing entirely. Disabled in concurrent
-	// mode (the cache itself would be shared state).
+	// Record skips the slice indexing entirely.
 	lastVCPU  int32
 	lastShard *shard
 
@@ -333,8 +324,6 @@ type Recorder struct {
 	// can move without touching the recorder at all. The recorder never
 	// writes into a snapshot it has handed out, so hits return the cached
 	// pointer itself — snapshots are immutable, possibly shared, views.
-	// Disabled in concurrent mode (the cache itself would be shared
-	// state).
 	snapshot  *Metrics
 	snapSeq   uint64
 	snapDirty bool
@@ -367,24 +356,6 @@ func NewRecorder(capacity int) *Recorder {
 	return r
 }
 
-// SetConcurrent pre-creates shards for VCPUs 0..vcpus-1 and switches
-// sequence allocation to an atomic counter, making Record safe to call
-// from one goroutine per VCPU simultaneously. Events for VCPUs outside
-// the pre-created range are clamped into it (shard growth cannot be done
-// locklessly). Aggregation reads — Metrics, Events, the exporters — must
-// still happen after the producers quiesce.
-func (r *Recorder) SetConcurrent(vcpus int) {
-	if r == nil {
-		return
-	}
-	for len(r.shards) < vcpus {
-		r.shards = append(r.shards, newShard(r.shardCap))
-	}
-	r.concurrent = true
-	r.lastShard = nil
-	r.snapshot, r.snapDirty = nil, true
-}
-
 // shardOf returns (growing if needed) the shard for VCPU v.
 func (r *Recorder) shardOf(v int32) *shard {
 	if sh := r.lastShard; sh != nil && v == r.lastVCPU {
@@ -411,21 +382,9 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	var sh *shard
-	if r.concurrent {
-		e.Seq = atomic.AddUint64(&r.seq, 1)
-		i := int(e.VCPU)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		sh = r.shards[i]
-	} else {
-		r.seq++
-		e.Seq = r.seq
-		sh = r.shardOf(e.VCPU)
-	}
+	r.seq++
+	e.Seq = r.seq
+	sh := r.shardOf(e.VCPU)
 	if sh.full {
 		sh.evicted.fold(&sh.buf[sh.next])
 	}
@@ -445,22 +404,8 @@ func (r *Recorder) Record(e Event) {
 // as Record would. Unlike the other methods Alloc is NOT nil-safe: the
 // producer's own recorder-attached check is the nil gate.
 func (r *Recorder) Alloc(vcpu int32) *Event {
-	var sh *shard
-	var seq uint64
-	if r.concurrent {
-		seq = atomic.AddUint64(&r.seq, 1)
-		i := int(vcpu)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		sh = r.shards[i]
-	} else {
-		r.seq++
-		seq = r.seq
-		sh = r.shardOf(vcpu)
-	}
+	r.seq++
+	sh := r.shardOf(vcpu)
 	if sh.full {
 		sh.evicted.fold(&sh.buf[sh.next])
 	}
@@ -470,7 +415,7 @@ func (r *Recorder) Alloc(vcpu int32) *Event {
 		sh.next = 0
 		sh.full = true
 	}
-	e.Seq = seq
+	e.Seq = r.seq
 	return e
 }
 
@@ -481,16 +426,6 @@ func (r *Recorder) Alloc(vcpu int32) *Event {
 // Nil-safe.
 func (r *Recorder) RecordRingLatency(vcpu int32, cycles uint64) {
 	if r == nil {
-		return
-	}
-	if r.concurrent {
-		i := int(vcpu)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		r.shards[i].ringLat.Observe(cycles)
 		return
 	}
 	r.snapDirty = true // the sequence counter cannot see this mutation
@@ -674,9 +609,6 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	if r.concurrent {
-		return atomic.LoadUint64(&r.seq)
-	}
 	return r.seq
 }
 
@@ -762,9 +694,6 @@ func (r *Recorder) Tail(n int) []Event {
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil
-	}
-	if r.concurrent {
-		return r.buildMetrics()
 	}
 	if m := r.snapshot; m != nil && !r.snapDirty && r.snapSeq == r.seq {
 		if r.cycleSrc == nil {
