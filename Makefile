@@ -135,7 +135,7 @@ parallel-check:
 # it must find the stale-TLB violation, minimize it, and the written
 # counterexample must replay back into the same violation.
 mc-smoke:
-	$(GO) run ./cmd/veil-mc -depth 8
+	$(GO) run ./cmd/veil-mc -depth 12
 	$(GO) run ./cmd/veil-mc -depth 4 -broken-tlb -expect-violation -ce /tmp/veil-mc-ce.json
 	$(GO) run ./cmd/veil-mc -replay /tmp/veil-mc-ce.json -expect-violation
 

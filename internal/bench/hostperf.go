@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"veil/internal/cvm"
+	"veil/internal/mc"
 	"veil/internal/mm"
 	"veil/internal/obs"
 	"veil/internal/sdk"
@@ -30,6 +31,8 @@ import (
 //     steady-state (full-ring, fold-on-evict) hot path.
 //   - memory translate: per-access AccessContext loads vs a SpanCursor
 //     batch sweep over the mempath experiment's page layout.
+//   - cold boot: host ns and heap bytes per Veil boot of the model
+//     checker's machine shape, the cost every replayed path pays.
 //
 // Plus the parallel fan-out curve: the same fixed bundle of independent
 // simulation tasks timed under 1, 2, 4, … NumCPU workers claiming work
@@ -55,9 +58,15 @@ type HostPerfScalePoint struct {
 
 // HostPerfResult captures one run. Everything except Iterations,
 // ExportEvents, ExportBytes and MemAccesses is host-side measurement
-// (time, allocations, speedups) — Scrub zeroes all of it for -stable.
+// (the host's shape, time, allocations, speedups) — Scrub zeroes all of it
+// for -stable.
 type HostPerfResult struct {
 	Iterations int
+
+	// The host the numbers were measured on.
+	NumCPU    int
+	GOARCH    string
+	GoVersion string
 
 	// Export path (sqlite corpus).
 	ExportEvents       uint64  // events the corpus run recorded
@@ -82,6 +91,12 @@ type HostPerfResult struct {
 	MemSpeedup            float64 // scalar / span
 	CursorAllocsPerOp     float64
 
+	// Cold boot of the model checker's machine shape (mc.Defaults: 24 MiB,
+	// 2 VCPUs, Veil), booted and released in a loop so every boot after
+	// the first reuses a recycled backing, as a model-checker run does.
+	HostNsBoot     float64 // ns per boot
+	BootAllocBytes float64 // heap bytes allocated per boot
+
 	// Parallel fan-out.
 	ScaleTasks int // independent tasks per curve point
 	Scale      []HostPerfScalePoint
@@ -91,6 +106,9 @@ type HostPerfResult struct {
 // speedups and the whole machine-shaped scaling curve) so -stable runs are
 // byte-comparable across hosts and -j settings.
 func (r *HostPerfResult) Scrub() {
+	r.NumCPU = 0
+	r.GOARCH = ""
+	r.GoVersion = ""
 	r.HostNsExportLegacy = 0
 	r.HostNsExportPooled = 0
 	r.ExportSpeedup = 0
@@ -103,6 +121,8 @@ func (r *HostPerfResult) Scrub() {
 	r.HostNsPerAccessSpan = 0
 	r.MemSpeedup = 0
 	r.CursorAllocsPerOp = 0
+	r.HostNsBoot = 0
+	r.BootAllocBytes = 0
 	r.ScaleTasks = 0
 	r.Scale = nil
 }
@@ -335,6 +355,41 @@ func hostPerfMem(r *HostPerfResult) error {
 	return nil
 }
 
+// hostPerfBoots is the number of boots the cold-boot measurement times.
+const hostPerfBoots = 32
+
+// hostPerfBoot measures cold boot in the model checker's machine shape.
+func hostPerfBoot(r *HostPerfResult) error {
+	cfg := mc.Defaults()
+	boot := func() error {
+		c, err := cvm.Boot(cvm.Options{
+			MemBytes: cfg.MemBytes, VCPUs: cfg.VCPUs, Veil: true, LogPages: cfg.LogPages,
+			Rand: rng(cfg.Seed),
+		})
+		if err != nil {
+			return err
+		}
+		c.M.Release()
+		return nil
+	}
+	// Warm up outside the window: the first boot allocates the backing
+	// every later one recycles.
+	if err := boot(); err != nil {
+		return err
+	}
+	var err error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.HostNsBoot = hostNsPerOp(hostPerfBoots, func() {
+		for i := 0; i < hostPerfBoots && err == nil; i++ {
+			err = boot()
+		}
+	})
+	runtime.ReadMemStats(&after)
+	r.BootAllocBytes = float64(after.TotalAlloc-before.TotalAlloc) / hostPerfBoots
+	return err
+}
+
 // hostPerfTask is one unit of the fan-out curve: a small standalone
 // machine (backing drawn from the snp boot pool) swept with the batch
 // cursor. Tasks are fully independent, so ideal scaling is linear.
@@ -431,6 +486,11 @@ func hostPerfScale(r *HostPerfResult) error {
 		return time.Since(start).Seconds(), nil
 	}
 
+	// Warm up outside the curve: the first run at full width allocates
+	// the backing each worker later recycles from the boot free list.
+	if _, err := runAt(maxWorkers); err != nil {
+		return err
+	}
 	var serial float64
 	for workers := 1; ; workers *= 2 {
 		if workers > maxWorkers {
@@ -460,7 +520,12 @@ func HostPerf(iters int) (HostPerfResult, error) {
 	if iters <= 0 {
 		iters = 2000
 	}
-	r := HostPerfResult{Iterations: iters}
+	r := HostPerfResult{
+		Iterations: iters,
+		NumCPU:     runtime.NumCPU(),
+		GOARCH:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+	}
 	c, err := hostPerfCorpus(iters)
 	if err != nil {
 		return HostPerfResult{}, err
@@ -472,6 +537,9 @@ func HostPerf(iters int) (HostPerfResult, error) {
 	}
 	hostPerfRecord(&r)
 	if err := hostPerfMem(&r); err != nil {
+		return HostPerfResult{}, err
+	}
+	if err := hostPerfBoot(&r); err != nil {
 		return HostPerfResult{}, err
 	}
 	if err := hostPerfScale(&r); err != nil {

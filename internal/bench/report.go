@@ -193,6 +193,9 @@ func pollWaitSlices(m SMPModeResult) uint64 {
 func ReportHostPerf(w io.Writer, r HostPerfResult) {
 	fmt.Fprintf(w, "Host throughput — pooled/batched hot paths vs exact references (sqlite ×%d corpus)\n",
 		r.Iterations)
+	if r.NumCPU > 0 {
+		fmt.Fprintf(w, "  host: %d CPUs, %s, %s\n", r.NumCPU, r.GOARCH, r.GoVersion)
+	}
 	fmt.Fprintf(w, "  export (%d events, %d B/render): legacy %.0f ns, pooled %.0f ns (%.1fx); allocs %.0f -> %.0f\n",
 		r.ExportEvents, r.ExportBytes, r.HostNsExportLegacy, r.HostNsExportPooled,
 		r.ExportSpeedup, r.ExportAllocsLegacy, r.ExportAllocsPooled)
@@ -201,6 +204,8 @@ func ReportHostPerf(w io.Writer, r HostPerfResult) {
 	fmt.Fprintf(w, "  translate (%d word loads/sweep): per-access %.2f ns, cursor %.2f ns, span-batched %.2f ns (%.1fx); cursor allocs %.0f\n",
 		r.MemAccesses, r.HostNsPerAccessScalar, r.HostNsPerAccessCursor,
 		r.HostNsPerAccessSpan, r.MemSpeedup, r.CursorAllocsPerOp)
+	fmt.Fprintf(w, "  cold boot (mc shape): %.0f ns, %.0f heap bytes per boot\n",
+		r.HostNsBoot, r.BootAllocBytes)
 	if len(r.Scale) > 0 {
 		fmt.Fprintf(w, "  fan-out (%d tasks):", r.ScaleTasks)
 		for _, p := range r.Scale {

@@ -40,8 +40,10 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 		h.m.ObserveDenied(snp.DeniedGHCB, uint64(vcpuID))
 		return ErrNoGHCB
 	}
+	// Dispatch needs only the header; the one handler that reads the
+	// payload (serveGuestRequest) loads the full block itself.
 	var g snp.GHCB
-	if err := h.m.HVReadGHCB(ghcbPhys, &g); err != nil {
+	if err := h.m.HVReadGHCBHeader(ghcbPhys, &g); err != nil {
 		// The "GHCB" is a guest-private page: the host sees ciphertext.
 		h.m.ObserveDenied(snp.DeniedGHCB, ghcbPhys)
 		return fmt.Errorf("%w: %v", ErrNoGHCB, err)
@@ -68,7 +70,7 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 		err = h.servePageState(ghcbPhys, &g)
 		h.chargeEnter()
 	case ExitGuestRequest:
-		err = h.serveGuestRequest(c, ghcbPhys, &g)
+		err = h.serveGuestRequest(c, ghcbPhys)
 		h.chargeEnter()
 	case ExitIO:
 		// Device I/O is serviced host-side; contents are opaque to the
@@ -191,22 +193,25 @@ func (h *Hypervisor) servePageState(ghcbPhys uint64, g *snp.GHCB) error {
 			failed++
 		}
 	}
-	g.SwScratch = failed
 	h.m.ObservePageState(phys, count, assign)
-	return h.m.HVWriteGHCB(ghcbPhys, g)
+	return h.m.HVWriteGHCBScratch(ghcbPhys, failed)
 }
 
 // serveGuestRequest relays an attestation report request to the PSP. The
 // requester's VMPL comes from the hardware (the exiting VMSA), not from the
 // request — this is what lets remote users distinguish a report minted by
 // VeilMon at VMPL0 from one minted by a compromised OS at VMPL3 (§5.1).
-func (h *Hypervisor) serveGuestRequest(c *vcpu, ghcbPhys uint64, g *snp.GHCB) error {
+func (h *Hypervisor) serveGuestRequest(c *vcpu, ghcbPhys uint64) error {
 	v, err := h.m.VMSAAt(c.currentVMSA)
 	if err != nil {
 		return fmt.Errorf("hv: guest request: %w", err)
 	}
 	if h.psp == nil {
 		return fmt.Errorf("hv: no PSP configured")
+	}
+	g := new(snp.GHCB)
+	if err := h.m.HVReadGHCB(ghcbPhys, g); err != nil {
+		return fmt.Errorf("hv: guest request: %w", err)
 	}
 	dataLen := int(g.SwScratch)
 	if dataLen < 0 || dataLen > len(g.Payload) {

@@ -381,3 +381,33 @@ func TestReasonStrings(t *testing.T) {
 		t.Fatal("reason strings")
 	}
 }
+
+// TestVMGEXITDomainSwitchAllocFree pins the exit path's allocation
+// budget: a domain-switch VMGEXIT decodes only the GHCB header, so a round
+// trip through the hypervisor allocates nothing.
+func TestVMGEXITDomainSwitchAllocFree(t *testing.T) {
+	h := newHarness(t)
+	// Rebind the OS replica to a context that does not record its calls,
+	// so the measured loop holds only the hypervisor's own work.
+	h.hv.BindContext(pgOSVMSA*snp.PageSize, ContextFunc(func(Reason) error { return nil }))
+	g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: pgOSVMSA * snp.PageSize, ExitInfo2: uint64(tagOS)}
+	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
+		t.Fatal(err)
+	}
+	g = &snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tagOS)}
+	if err := h.m.GuestWriteGHCB(snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		if e := h.hv.VMGEXIT(0); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("domain-switch VMGEXIT allocates %.1f times per exit, want 0", allocs)
+	}
+}

@@ -21,7 +21,11 @@ func NewPhysAllocator(lo, hi uint64) (*PhysAllocator, error) {
 	if lo%snp.PageSize != 0 || hi%snp.PageSize != 0 || hi <= lo {
 		return nil, fmt.Errorf("mm: bad allocator range [%#x,%#x)", lo, hi)
 	}
-	a := &PhysAllocator{lo: lo, hi: hi, inUse: make(map[uint64]bool)}
+	a := &PhysAllocator{
+		lo: lo, hi: hi,
+		free:  make([]uint64, 0, (hi-lo)/snp.PageSize),
+		inUse: make(map[uint64]bool),
+	}
 	// Stack the frames so allocation order is deterministic (low → high).
 	for p := hi - snp.PageSize; ; p -= snp.PageSize {
 		a.free = append(a.free, p)

@@ -38,11 +38,16 @@ func (g *GHCB) marshal(buf []byte) {
 
 // unmarshal decodes the GHCB from buf.
 func (g *GHCB) unmarshal(buf []byte) {
+	g.unmarshalHeader(buf)
+	copy(g.Payload[:], buf[ghcbHeaderSize:ghcbSize])
+}
+
+// unmarshalHeader decodes only the fixed fields from buf.
+func (g *GHCB) unmarshalHeader(buf []byte) {
 	g.ExitCode = binary.LittleEndian.Uint64(buf[0:])
 	g.ExitInfo1 = binary.LittleEndian.Uint64(buf[8:])
 	g.ExitInfo2 = binary.LittleEndian.Uint64(buf[16:])
 	g.SwScratch = binary.LittleEndian.Uint64(buf[24:])
-	copy(g.Payload[:], buf[ghcbHeaderSize:ghcbSize])
 }
 
 // GuestWriteGHCB stores g into the shared page at phys on behalf of guest
@@ -80,6 +85,28 @@ func (m *Machine) HVReadGHCB(phys uint64, g *GHCB) error {
 	}
 	g.unmarshal(buf[:])
 	return nil
+}
+
+// HVReadGHCBHeader is HVReadGHCB for the fixed fields only (ExitCode,
+// ExitInfo1/2, SwScratch); g.Payload is left untouched. Exit dispatch needs
+// nothing more, and skipping the payload copy keeps the common exits cheap.
+// The RMP check and its denial are the same as a full read's.
+func (m *Machine) HVReadGHCBHeader(phys uint64, g *GHCB) error {
+	var buf [ghcbHeaderSize]byte
+	if err := m.HVReadPhys(phys, buf[:]); err != nil {
+		return err
+	}
+	g.unmarshalHeader(buf[:])
+	return nil
+}
+
+// HVWriteGHCBScratch lets the hypervisor store a reply code into the
+// SwScratch field of a shared GHCB page, leaving the rest of the block as
+// the guest wrote it.
+func (m *Machine) HVWriteGHCBScratch(phys, v uint64) error {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	return m.HVWritePhys(phys+24, buf[:]) // SwScratch is header word 3 (see marshal)
 }
 
 // HVWriteGHCB lets the hypervisor stage a reply into a shared GHCB page.

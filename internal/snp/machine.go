@@ -35,9 +35,12 @@ func DefaultConfig() Config {
 // Machine is not safe for concurrent use: the simulation is synchronous and
 // deterministic by design.
 type Machine struct {
-	cfg   Config
-	mem   []byte
-	rmp   []RMPEntry
+	cfg Config
+	mem []byte
+	rmp []RMPEntry
+	// stale has one bit per page: set means the page is logically zero
+	// but its backing bytes in mem have not been cleared yet (see scrub).
+	stale []uint64
 	vmsas map[uint64]*VMSA // keyed by physical page address
 
 	// ghcbMSR holds the per-VCPU GHCB physical address, written by the
@@ -109,10 +112,11 @@ type Machine struct {
 }
 
 // NewMachine creates a machine with all pages hypervisor-owned (shared),
-// exactly as at CVM launch before the boot image is measured in. The two
-// large backing arrays are drawn from the boot pool when a released
-// machine of the same size is available (see pool.go); a recycled backing
-// is cleared first, so the machine state is identical either way.
+// exactly as at CVM launch before the boot image is measured in. The large
+// backing arrays are drawn from the boot free list when a released machine
+// of the same size is available (see pool.go). A recycled backing starts
+// with every page stale instead of cleared, so guest-visible memory reads
+// zero either way and the machine state is identical.
 func NewMachine(cfg Config) *Machine {
 	if cfg.MemBytes == 0 {
 		cfg = DefaultConfig()
@@ -127,13 +131,41 @@ func NewMachine(cfg Config) *Machine {
 		vmsas:   make(map[uint64]*VMSA),
 		ghcbMSR: make(map[int]uint64),
 	}
-	if b := acquireBacking(pages); b != nil {
-		m.mem, m.rmp = b.mem, b.rmp
-	} else {
-		m.mem = make([]byte, cfg.MemBytes)
-		m.rmp = make([]RMPEntry, pages)
+	b, ok := acquireBacking(pages)
+	if !ok {
+		b = machineBacking{
+			mem:   make([]byte, cfg.MemBytes),
+			rmp:   make([]RMPEntry, pages),
+			stale: make([]uint64, (pages+63)/64),
+		}
 	}
+	m.mem, m.rmp, m.stale, m.tlb = b.mem, b.rmp, b.stale, b.tlb
 	return m
+}
+
+// scrub clears page pi if it is stale. PVALIDATE logically zeroes the page
+// it accepts, and a recycled backing is logically all-zero, but the host
+// defers the memclr to the first time the bytes are handed out or copied:
+// every path that lets page bytes leave this package — guestAccessPhys,
+// the TLB-hit branch of spanPhys (and through it SpanCursor.fill),
+// rawPage, HVReadPhys and HVWritePhys — scrubs first. Pages a run never
+// touches are never cleared. The deferral is host-side only: PVALIDATE
+// still charges its cycles and emits its event.
+func (m *Machine) scrub(pi uint64) {
+	if m.stale[pi>>6]&(1<<(pi&63)) != 0 {
+		m.scrubNow(pi)
+	}
+}
+
+// scrubNow clears page pi's backing bytes and its stale bit. It is kept
+// out of line so scrub's test inlines into the access paths as one load
+// and one branch.
+//
+//go:noinline
+func (m *Machine) scrubNow(pi uint64) {
+	m.stale[pi>>6] &^= 1 << (pi & 63)
+	base := pi << PageShift
+	clear(m.mem[base : base+PageSize])
 }
 
 // Config returns the machine configuration.
@@ -221,6 +253,7 @@ func (m *Machine) guestAccessPhys(vmpl VMPL, cpl CPL, phys uint64, n int, a Acce
 		// from: translations that walked through it may now be stale.
 		m.invalidatePTPage(pi)
 	}
+	m.scrub(pi)
 	return m.mem[phys : phys+uint64(n)], nil
 }
 
@@ -279,6 +312,7 @@ func (m *Machine) GuestExecCheckPhys(vmpl VMPL, cpl CPL, phys uint64) error {
 // hardware-internal paths only (page-table walker, launch measurement) and
 // is deliberately unexported.
 func (m *Machine) rawPage(pi uint64) []byte {
+	m.scrub(pi)
 	base := pi << PageShift
 	return m.mem[base : base+PageSize]
 }
@@ -297,6 +331,7 @@ func (m *Machine) HVReadPhys(phys uint64, buf []byte) error {
 		m.ObserveDenied(DeniedHVRead, PageBase(phys))
 		return fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
 	}
+	m.scrub(pi)
 	copy(buf, m.mem[phys:phys+uint64(len(buf))])
 	return nil
 }
@@ -315,6 +350,7 @@ func (m *Machine) HVWritePhys(phys uint64, buf []byte) error {
 	if m.isPTPage(pi) {
 		m.invalidatePTPage(pi)
 	}
+	m.scrub(pi)
 	copy(m.mem[phys:phys+uint64(len(buf))], buf)
 	return nil
 }

@@ -232,9 +232,11 @@ func (a AccessContext) spanPhys(virt uint64, n int, acc Access) ([]byte, uint64,
 		if n < 0 || PageOffset(phys)+uint64(n) > PageSize {
 			return nil, 0, fmt.Errorf("snp: physical access %#x+%d crosses a page boundary", phys, n)
 		}
-		if acc == AccessWrite && m.isPTPage(phys>>PageShift) {
-			m.invalidatePTPage(phys >> PageShift)
+		pi := phys >> PageShift
+		if acc == AccessWrite && m.isPTPage(pi) {
+			m.invalidatePTPage(pi)
 		}
+		m.scrub(pi)
 		return m.mem[phys : phys+uint64(n)], phys, nil
 	}
 	buf, err := m.guestAccessPhys(a.VMPL, a.CPL, phys, n, acc, virt)

@@ -171,11 +171,21 @@ func (m *Machine) PValidate(callerVMPL VMPL, phys uint64, validate bool) error {
 		// A freshly validated page becomes fully accessible to VMPL0 and
 		// inherits no permissions at lower levels until granted.
 		e.Perms = [NumVMPLs]Perm{VMPL0: PermAll}
-		// Newly accepted memory is touched (and implicitly scrubbed);
-		// this cold touch dominates Veil's boot-time RMPADJUST sweep.
-		clear(m.rawPage(pi))
+		// Newly accepted memory reads zero; the cold touch that scrubs it
+		// dominates Veil's boot-time RMPADJUST sweep. The host defers the
+		// memclr to the page's first use (see scrub): the rmpFlushTLB below
+		// kills every cached RMP verdict and every open SpanCursor, so the
+		// next access to the page goes through a scrubbing path. With
+		// invalidation deliberately suppressed, stale translations and
+		// cursors may still alias the page, so it is scrubbed at once.
+		if m.tlbNoInvalidate {
+			m.scrubNow(pi)
+		} else {
+			m.stale[pi>>6] |= 1 << (pi & 63)
+		}
 		if m.isPTPage(pi) {
-			// The scrub just rewrote PTE bytes behind the walker's back.
+			// The page's PTE bytes just became zero behind the walker's
+			// back.
 			m.invalidatePTPage(pi)
 		}
 	} else {
